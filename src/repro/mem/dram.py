@@ -112,11 +112,13 @@ class WriteTrackingPort:
     time proportional to co-simulation write traffic, not memory size.
     """
 
-    __slots__ = ("dram", "written")
+    __slots__ = ("dram", "written", "mirror")
 
     def __init__(self, dram: Dram) -> None:
         self.dram = dram
         self.written: set[int] = set()
+        #: another port every write is repeated on (None: no mirroring)
+        self.mirror: "WriteTrackingPort | None" = None
 
     def read_word(self, addr: int) -> int:
         return self.dram.read_word(addr)
@@ -124,6 +126,8 @@ class WriteTrackingPort:
     def write_word(self, addr: int, value: int) -> None:
         self.written.add(addr & ~7)
         self.dram.write_word(addr, value)
+        if self.mirror is not None:
+            self.mirror.write_word(addr, value)
 
     def read_line(self, line_addr: int) -> tuple[int, ...]:
         return self.dram.read_line(line_addr)
@@ -132,6 +136,9 @@ class WriteTrackingPort:
         base = line_addr & ~(LINE_BYTES - 1)
         for i in range(WORDS_PER_LINE):
             self.written.add(base + 8 * i)
+        if self.mirror is not None:
+            words = tuple(words)
+            self.mirror.write_line(line_addr, words)
         self.dram.write_line(line_addr, words)
 
 

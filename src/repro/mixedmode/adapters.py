@@ -1,16 +1,41 @@
 """Co-simulation adapters (paper Fig. 1b).
 
 An adapter replaces one high-level uncore model inside the machine with
-a pair of RTL instances: the **target** (error-injected, live -- its
-outputs are what the system actually sees) and the **golden** copy
-(identical, receives the same inputs, outputs only compared).  The
-adapter implements the exact server interface of the high-level model it
-replaces, so the machine is oblivious to the swap.
+RTL: the **target** instance (error-injected, live -- its outputs are
+what the system actually sees) and, from the injection on, the
+**golden** copy (error-free, receives the same inputs, outputs only
+compared).  The adapter implements the exact server interface of the
+high-level model it replaces, so the machine is oblivious to the swap.
 
-Golden isolation invariants:
+When the golden copy is made:
+
+* attach builds the target only, and warmup runs it alone;
+* :meth:`CosimAdapterBase.fork_golden` clones the target into the
+  golden copy right before the fault is applied (the flip methods fork
+  first too, so a target is never corrupted before its copy exists);
+* a device write to live memory during warmup forks the copy earlier,
+  *before* the write lands (see below).
+
+Until the fault is applied the target and a golden copy would hold the
+same state and see the same inputs, so a second copy running through
+warmup would only repeat the target's work.  Solo warmup is exact
+because every input the golden copy would see is reproduced for it:
+
+* its private fork of DRAM is taken at attach; every write the target
+  makes is mirrored into the golden port, so the fork and both ports'
+  write sets end as a two-copy warmup leaves them;
+* the fills it would be waiting for are recorded as the target issues
+  them (L2C), so their replies reach it after the fork;
+* the one input that can differ is a device write: it lands in live
+  memory, which the fork never sees, so a golden copy that reads its
+  fork (L2C, MCU) would read stale data after it.  Those adapters
+  therefore fork before the first device write of their warmup
+  (counted by the ``cosim.golden_forks_early`` obs counter).
+
+Golden isolation invariants, once the copy exists:
 
 * the golden component never writes live memory -- its writebacks land
-  in a private fork of DRAM;
+  in the private fork of DRAM;
 * the golden component never reads live memory -- fills are served from
   the fork (so the target's corruption cannot launder the golden copy);
 * both sides run behind write-tracking ports, so memory divergence is
@@ -22,8 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.mem.dram import WriteTrackingPort
 from repro.rtl.compare import Mismatch
+from repro.rtl.module import RtlModule
 from repro.soc.packets import CpxPacket, McuReply, McuRequest, McuOp, PcxPacket
 from repro.uncore.ccx import CcxRtl
 from repro.uncore.l2c import L2cRtl
@@ -58,17 +85,62 @@ class ComparisonStatus:
 class CosimAdapterBase:
     """Shared bookkeeping for all four component adapters."""
 
-    def __init__(self) -> None:
+    #: the golden copy reads its DRAM fork, so a device write during
+    #: solo warmup must fork it before the write lands
+    golden_reads_memory = False
+
+    def __init__(self, machine) -> None:
+        self.machine = machine
         #: cycle of the first erroneous output from the target (Fig. 1b,
         #: item 6) -- return-packet comparison against the golden copy.
         self.erroneous_output_cycle: "int | None" = None
         #: the golden copy refused an input the target took (queue
         #: occupancy divergence); conservatively treated as propagation
         self.golden_diverged = False
+        self._golden: "RtlModule | None" = None
+        self._early_forks = obs.counter("cosim.golden_forks_early")
 
     # -- hooks implemented per component --------------------------------
     target = None
-    golden = None
+    hl = None
+
+    def _fork(self) -> RtlModule:
+        """Clone the target into a golden copy wired to its own side."""
+        return self.target.clone()
+
+    def _plug(self, server) -> None:
+        """Put ``server`` into this component's slot in the machine."""
+        raise NotImplementedError
+
+    def _transfer_back(self) -> None:
+        """Copy the target's state into the high-level model."""
+
+    # -- the golden copy ------------------------------------------------
+    @property
+    def golden(self) -> RtlModule:
+        """The golden copy, forked from the target on first use."""
+        if self._golden is None:
+            self.fork_golden()
+        return self._golden
+
+    def fork_golden(self) -> None:
+        """Create the golden copy from the target's current state.
+
+        A no-op once it exists.  The platform calls it right before the
+        fault is applied; until then the copy would equal the target.
+        """
+        if self._golden is not None:
+            return
+        self._golden = self._fork()
+        self._unhook()
+
+    def _fork_before_device_write(self) -> None:
+        self._early_forks.inc()
+        self.fork_golden()
+
+    def _unhook(self) -> None:
+        if self.machine.before_device_write == self._fork_before_device_write:
+            self.machine.before_device_write = None
 
     def _note_output_mismatch(self, cycle: int) -> None:
         if self.erroneous_output_cycle is None:
@@ -94,31 +166,80 @@ class CosimAdapterBase:
     def quiescent(self) -> bool:
         return self.target.in_flight() == 0
 
+    def in_flight(self) -> int:
+        return self.target.in_flight()
+
+    # -- injection (always into a target that has its golden copy) ------
     def flip(self, bit_index: int) -> tuple[str, int, int]:
         """Inject the bit flip into the target (Fig. 1b, item 4)."""
+        self.fork_golden()
         return self.target.flip_target_bit(bit_index)
 
     # -- location-addressed injection (the fault-model subsystem) --------
     def flip_at(self, name: str, entry: int, bit: int) -> tuple[str, int, int]:
         """Flip an explicit flip-flop location in the target."""
+        self.fork_golden()
         self.target.flip_bit(name, entry, bit)
         return (name, entry, bit)
 
     def flip_sram(self, name: str, entry: int, bit: int) -> tuple[str, int, int]:
         """Flip a bit inside one of the target's SRAM rows."""
+        self.fork_golden()
         self.target.flip_sram_bit(name, entry, bit)
         return ("sram:" + name, entry, bit)
 
     def force_at(self, name: str, entry: int, bit: int, value: int) -> bool:
         """Force a target flip-flop to ``value`` (stuck-at assertion)."""
+        self.fork_golden()
         return self.target.force_bit(name, entry, bit, value)
+
+    # -- swapping in and out ----------------------------------------------
+    def attach(self) -> None:
+        self._plug(self)
+        if self.golden_reads_memory and self._golden is None:
+            self.machine.before_device_write = self._fork_before_device_write
+        self.machine.uncore_changed()
+
+    def detach(self) -> None:
+        """Transfer the (possibly corrupted) state back (Fig. 2, step 10)."""
+        self._transfer_back()
+        self._swap_out()
 
     def release(self) -> None:
         """Unswap the adapter WITHOUT state transfer (abandoned runs)."""
-        raise NotImplementedError
+        self._swap_out()
+
+    def _swap_out(self) -> None:
+        self._unhook()
+        self._plug(self.hl)
+        self.machine.uncore_changed()
 
 
-class L2cCosimAdapter(CosimAdapterBase):
+class _MemoryForkAdapter(CosimAdapterBase):
+    """An adapter whose golden side writes a private fork of DRAM.
+
+    Subclasses build ``target_port``/``golden_port``; until the fork the
+    target port mirrors every write into the golden port.
+    """
+
+    def __init__(self, machine) -> None:
+        super().__init__(machine)
+        self.golden_dram = machine.dram.fork()
+
+    def _fork(self) -> RtlModule:
+        self.target_port.mirror = None
+        return super()._fork()
+
+    def memory_divergence(self) -> list[int]:
+        candidates = self.target_port.written | self.golden_port.written
+        live = self.machine.dram
+        return sorted(
+            a for a in candidates
+            if live.read_word(a) != self.golden_dram.read_word(a)
+        )
+
+
+class L2cCosimAdapter(_MemoryForkAdapter):
     """Co-simulates one L2C bank against its golden copy.
 
     The golden copy's MCU traffic is *slaved* to the target's observed
@@ -131,21 +252,25 @@ class L2cCosimAdapter(CosimAdapterBase):
     symmetric between the two sides.
     """
 
+    golden_reads_memory = True
+
     def __init__(self, machine, bank: int) -> None:
-        super().__init__()
-        self.machine = machine
+        super().__init__(machine)
         self.bank = bank
         self.hl = machine.l2banks[bank]
-        self.golden_dram = machine.dram.fork()
         self.target_port = WriteTrackingPort(machine.dram)
         self.golden_port = WriteTrackingPort(self.golden_dram)
+        self.target_port.mirror = self.golden_port
         self._golden_pending_reads: dict[int, int] = {}
-        amap = machine.amap
-        ways = machine.config.l2_ways
-        self.target = L2cRtl(bank, amap, ways, send_mcu=self._target_mcu)
-        self.golden = L2cRtl(bank, amap, ways, send_mcu=self._golden_mcu)
+        self.target = L2cRtl(
+            bank, machine.amap, machine.config.l2_ways, send_mcu=self._target_mcu
+        )
         self.target.load_state(machine.l2states[bank])
-        self.golden.load_state(machine.l2states[bank])
+
+    def _fork(self) -> RtlModule:
+        golden = super()._fork()
+        golden.send_mcu = self._golden_mcu
+        return golden
 
     # -- MCU plumbing ----------------------------------------------------
     def _target_mcu(self, req: McuRequest) -> None:
@@ -153,6 +278,9 @@ class L2cCosimAdapter(CosimAdapterBase):
             self.target_port.write_line(req.line_addr, req.data)
         else:
             self.machine._send_mcu(req)
+            if self._golden is None:
+                # the golden copy would issue the same fill
+                self._golden_pending_reads[req.tag] = req.line_addr
 
     def _golden_mcu(self, req: McuRequest) -> None:
         if req.op is McuOp.WRITE:
@@ -163,43 +291,34 @@ class L2cCosimAdapter(CosimAdapterBase):
     # -- server interface --------------------------------------------------
     def accept(self, pkt: PcxPacket, cycle: int) -> bool:
         ok = self.target.accept(pkt, cycle)
-        if ok and not self.golden.accept(pkt, cycle):
+        golden = self._golden
+        if ok and golden is not None and not golden.accept(pkt, cycle):
             self.golden_diverged = True
         return ok
 
     def deliver_mcu_reply(self, reply: McuReply) -> None:
         self.target.deliver_mcu_reply(reply)
         addr = self._golden_pending_reads.pop(reply.tag, None)
-        if addr is not None:
-            self.golden.deliver_mcu_reply(
+        if addr is not None and self._golden is not None:
+            self._golden.deliver_mcu_reply(
                 McuReply(addr, self.golden_port.read_line(addr), self.bank, reply.tag)
             )
 
     def tick(self, cycle: int) -> list[CpxPacket]:
         out_t = self.target.tick(cycle)
-        out_g = self.golden.tick(cycle)
-        if out_t != out_g:
+        golden = self._golden
+        if golden is not None and golden.tick(cycle) != out_t:
             self._note_output_mismatch(cycle)
         return out_t
-
-    def in_flight(self) -> int:
-        return self.target.in_flight()
 
     def dma_update(self, addr: int, value: int) -> None:
         """Coherent DMA update applied to both copies (device writes are
         error-free input, identical on both sides)."""
         self.target.dma_update(addr, value)
-        self.golden.dma_update(addr, value)
+        if self._golden is not None:
+            self._golden.dma_update(addr, value)
 
     # -- platform hooks -------------------------------------------------------
-    def memory_divergence(self) -> list[int]:
-        candidates = self.target_port.written | self.golden_port.written
-        live = self.machine.dram
-        return sorted(
-            a for a in candidates
-            if live.read_word(a) != self.golden_dram.read_word(a)
-        )
-
     def cache_corruption_words(self) -> list[int]:
         """Word addresses corrupted inside the architected cache arrays.
 
@@ -228,75 +347,53 @@ class L2cCosimAdapter(CosimAdapterBase):
                         words.add(g_addr + 8 * w)
         return sorted(words)
 
-    def attach(self) -> None:
-        self.machine.l2banks[self.bank] = self
-        self.machine.uncore_changed()
+    def _plug(self, server) -> None:
+        self.machine.l2banks[self.bank] = server
 
-    def detach(self) -> None:
-        """Transfer the (possibly corrupted) state back (Fig. 2, step 10)."""
+    def _transfer_back(self) -> None:
         self.target.extract_state(self.machine.l2states[self.bank])
-        self.machine.l2banks[self.bank] = self.hl
-        self.machine.uncore_changed()
-
-    def release(self) -> None:
-        self.machine.l2banks[self.bank] = self.hl
-        self.machine.uncore_changed()
 
 
-class McuCosimAdapter(CosimAdapterBase):
+class McuCosimAdapter(_MemoryForkAdapter):
     """Co-simulates one MCU against its golden copy.
 
     The MCU is self-contained (requests in, replies/DRAM traffic out),
     so the golden copy simply runs on a fork of main memory.
     """
 
+    golden_reads_memory = True
+
     def __init__(self, machine, mcu_idx: int) -> None:
-        super().__init__()
-        self.machine = machine
+        super().__init__(machine)
         self.mcu_idx = mcu_idx
         self.hl = machine.mcus[mcu_idx]
-        self.golden_dram = machine.dram.fork()
         self.target_port = WriteTrackingPort(machine.dram)
         self.golden_port = WriteTrackingPort(self.golden_dram)
+        self.target_port.mirror = self.golden_port
         self.target = McuRtl(mcu_idx, self.target_port)
-        self.golden = McuRtl(mcu_idx, self.golden_port)
+
+    def _fork(self) -> RtlModule:
+        golden = super()._fork()
+        golden.dram = self.golden_port
+        return golden
 
     def accept(self, req: McuRequest, cycle: int) -> bool:
         ok = self.target.accept(req, cycle)
-        if ok and not self.golden.accept(req, cycle):
+        golden = self._golden
+        if ok and golden is not None and not golden.accept(req, cycle):
             self.golden_diverged = True
         return ok
 
     def tick(self, cycle: int) -> None:
         rep_t = self.target.tick(cycle)
-        rep_g = self.golden.tick(cycle)
-        if rep_t != rep_g:
+        golden = self._golden
+        if golden is not None and golden.tick(cycle) != rep_t:
             self._note_output_mismatch(cycle)
         for reply in rep_t:
             self.machine._route_mcu_reply(reply)
 
-    def in_flight(self) -> int:
-        return self.target.in_flight()
-
-    def memory_divergence(self) -> list[int]:
-        candidates = self.target_port.written | self.golden_port.written
-        live = self.machine.dram
-        return sorted(
-            a for a in candidates
-            if live.read_word(a) != self.golden_dram.read_word(a)
-        )
-
-    def attach(self) -> None:
-        self.machine.mcus[self.mcu_idx] = self
-        self.machine.uncore_changed()
-
-    def detach(self) -> None:
-        self.machine.mcus[self.mcu_idx] = self.hl
-        self.machine.uncore_changed()
-
-    def release(self) -> None:
-        self.machine.mcus[self.mcu_idx] = self.hl
-        self.machine.uncore_changed()
+    def _plug(self, server) -> None:
+        self.machine.mcus[self.mcu_idx] = server
 
 
 class CcxCosimAdapter(CosimAdapterBase):
@@ -307,52 +404,41 @@ class CcxCosimAdapter(CosimAdapterBase):
     """
 
     def __init__(self, machine) -> None:
-        super().__init__()
-        self.machine = machine
+        super().__init__(machine)
         self.hl = machine.ccx
         self.target = CcxRtl(machine.amap)
-        self.golden = CcxRtl(machine.amap)
 
     def send_pcx(self, bank: int, pkt: PcxPacket, cycle: int) -> None:
         self.target.send_pcx(bank, pkt, cycle)
-        self.golden.send_pcx(bank, pkt, cycle)
+        if self._golden is not None:
+            self._golden.send_pcx(bank, pkt, cycle)
 
     def send_cpx(self, pkt: CpxPacket, cycle: int, src: int = 0) -> None:
         self.target.send_cpx(pkt, cycle, src)
-        self.golden.send_cpx(pkt, cycle, src)
+        if self._golden is not None:
+            self._golden.send_cpx(pkt, cycle, src)
 
     def tick(self, cycle: int) -> None:
         self.target.tick(cycle)
-        self.golden.tick(cycle)
+        if self._golden is not None:
+            self._golden.tick(cycle)
 
     def deliver_pcx(self, cycle: int) -> list[tuple[int, PcxPacket]]:
         out_t = self.target.deliver_pcx(cycle)
-        out_g = self.golden.deliver_pcx(cycle)
-        if out_t != out_g:
+        golden = self._golden
+        if golden is not None and golden.deliver_pcx(cycle) != out_t:
             self._note_output_mismatch(cycle)
         return out_t
 
     def deliver_cpx(self, cycle: int) -> list[CpxPacket]:
         out_t = self.target.deliver_cpx(cycle)
-        out_g = self.golden.deliver_cpx(cycle)
-        if out_t != out_g:
+        golden = self._golden
+        if golden is not None and golden.deliver_cpx(cycle) != out_t:
             self._note_output_mismatch(cycle)
         return out_t
 
-    def in_flight(self) -> int:
-        return self.target.in_flight()
-
-    def attach(self) -> None:
-        self.machine.ccx = self
-        self.machine.uncore_changed()
-
-    def detach(self) -> None:
-        self.machine.ccx = self.hl
-        self.machine.uncore_changed()
-
-    def release(self) -> None:
-        self.machine.ccx = self.hl
-        self.machine.uncore_changed()
+    def _plug(self, server) -> None:
+        self.machine.ccx = server
 
 
 class _CapturePort:
@@ -362,11 +448,15 @@ class _CapturePort:
         self._sink_write = sink_write
         self.stream: list[tuple[int, int]] = []
         self.written: set[int] = set()
+        #: another port every write is repeated on (None: no mirroring)
+        self.mirror: "_CapturePort | None" = None
 
     def write_word(self, addr: int, value: int) -> None:
         self.stream.append((addr & ~7, value))
         self.written.add(addr & ~7)
         self._sink_write(addr, value)
+        if self.mirror is not None:
+            self.mirror.write_word(addr, value)
 
     def take(self) -> list[tuple[int, int]]:
         out = self.stream
@@ -374,75 +464,62 @@ class _CapturePort:
         return out
 
 
-class PcieCosimAdapter(CosimAdapterBase):
+class PcieCosimAdapter(_MemoryForkAdapter):
     """Co-simulates the PCIe controller's DMA engine.
 
     The engine only *writes* (it streams the host-side input file into
     memory), so golden isolation reduces to capturing both write streams:
     the target writes through the machine's coherent DMA path, the golden
     writes into a memory fork.  Diverging streams are erroneous outputs;
-    diverging memories are corruption.
+    diverging memories are corruption.  The golden copy never reads its
+    fork, so the target's own device writes need no early fork.
     """
 
     def __init__(self, machine) -> None:
-        super().__init__()
-        self.machine = machine
+        super().__init__(machine)
         self.hl = machine.pcie
-        self.golden_dram = machine.dram.fork()
         self.target_port = _CapturePort(machine.dma_write_word)
         self.golden_port = _CapturePort(self.golden_dram.write_word)
-        self.target = PcieRtl(self.target_port)
-        self.golden = PcieRtl(self.golden_port)
+        self.target_port.mirror = self.golden_port
+        self.target = module = PcieRtl(self.target_port)
         # transfer the in-progress descriptor state from the high-level model
-        for module in (self.target, self.golden):
-            module.file_words = list(self.hl.file_words)
-            module.dma_dest.write(self.hl.dest_base)
-            module.dma_len.write(len(self.hl.file_words))
-            module.dma_progress.write(self.hl.progress)
-            module.dma_status_addr.write(self.hl.status_addr)
-            module.dma_active.write(1 if self.hl.active else 0)
-            module.start_cycle = self.hl.start_cycle
-            module.finish_cycle = self.hl.finish_cycle
+        module.file_words = list(self.hl.file_words)
+        module.dma_dest.write(self.hl.dest_base)
+        module.dma_len.write(len(self.hl.file_words))
+        module.dma_progress.write(self.hl.progress)
+        module.dma_status_addr.write(self.hl.status_addr)
+        module.dma_active.write(1 if self.hl.active else 0)
+        module.start_cycle = self.hl.start_cycle
+        module.finish_cycle = self.hl.finish_cycle
+
+    def _fork(self) -> RtlModule:
+        golden = super()._fork()
+        golden.port = self.golden_port
+        return golden
 
     def begin_transfer(self, *args, **kwargs) -> None:  # pragma: no cover
         raise RuntimeError("transfers cannot be armed during co-simulation")
 
     def tick(self, cycle: int) -> None:
         self.target.tick(cycle)
-        self.golden.tick(cycle)
+        if self._golden is not None:
+            self._golden.tick(cycle)
+        # while warming up alone the mirror makes both streams equal
         if self.target_port.take() != self.golden_port.take():
             self._note_output_mismatch(cycle)
-
-    def in_flight(self) -> int:
-        return self.target.in_flight()
 
     @property
     def active(self) -> bool:
         return self.target.active
 
-    def memory_divergence(self) -> list[int]:
-        candidates = self.target_port.written | self.golden_port.written
-        live = self.machine.dram
-        return sorted(
-            a for a in candidates
-            if live.read_word(a) != self.golden_dram.read_word(a)
-        )
+    def _plug(self, server) -> None:
+        self.machine.pcie = server
 
-    def attach(self) -> None:
-        self.machine.pcie = self
-        self.machine.uncore_changed()
-
-    def detach(self) -> None:
+    def _transfer_back(self) -> None:
         """Copy the descriptor state back to the high-level model."""
         self.hl.progress = self.target.dma_progress.value
         self.hl.active = bool(self.target.dma_active.value)
         self.hl.finish_cycle = self.target.finish_cycle
-        self.machine.pcie = self.hl
-        self.machine.uncore_changed()
-
-    def release(self) -> None:
-        self.machine.pcie = self.hl
-        self.machine.uncore_changed()
 
 
 def make_adapter(machine, component: str, instance: int = 0) -> CosimAdapterBase:

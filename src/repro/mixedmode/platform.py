@@ -7,11 +7,14 @@ executes the three phases of Fig. 2:
 
 1. *Prepare*: restore the snapshot preceding the injection cycle, run
    accelerated to the injection cycle, quiesce the target component,
-   attach the RTL target + golden pair, warm up.
-2. *Inject*: flip the chosen target flip-flop; co-simulate with periodic
-   golden comparison; stop early on Vanished; hand over to accelerated
-   mode once every remaining mismatch maps to high-level state; give up
-   (Persistent) at the co-simulation cycle cap.
+   attach its RTL target instance, warm it up alone.
+2. *Inject*: fork the golden RTL copy from the warmed-up target (earlier
+   if a device write lands during warmup, see
+   :mod:`repro.mixedmode.adapters`), flip the chosen target flip-flop;
+   co-simulate with periodic golden comparison; stop early on Vanished;
+   hand over to accelerated mode once every remaining mismatch maps to
+   high-level state; give up (Persistent) at the co-simulation cycle
+   cap.
 3. *Determine outcome*: continue in accelerated mode to completion and
    classify against the golden output (ONA / OMM / UT / Hang).
 """
@@ -384,6 +387,7 @@ class MixedModePlatform:
             machine.step()
 
         # ---- phase 2: inject and co-simulate ------------------------------
+        adapter.fork_golden()
         if fault is not None:
             flip_loc = fault.apply_event(adapter, event)
             live = fault.live(event, machine.cycle)

@@ -8,29 +8,35 @@ provides everything the mixed-mode platform needs:
 
 * flip-flop enumeration and classification (Table 3 / Table 4 totals),
 * single-bit error injection by global target-bit index,
-* full state snapshot/restore and cloning (for the golden copy),
+* full state snapshot/restore and state-only cloning (for the golden copy),
 * reset with configuration-register preservation (for QRR),
 * mismatch benignity hooks (the paper's co-simulation exit conditions).
 """
 
 from __future__ import annotations
 
-import copy
 from collections import OrderedDict
 from collections.abc import Mapping
 
 from repro.rtl.compare import Mismatch, MismatchKind, compare_modules
 from repro.rtl.registers import FlipFlopClass, Register, RegisterArray, SramArray
 
+#: target-bit index per register layout, shared by every instance with
+#: that layout (the index is a pure function of it)
+_TARGET_INDEX_CACHE: "dict[tuple, tuple[tuple[str, int, int], ...]]" = {}
+
 
 class RtlModule:
     """A cycle-level, flip-flop-accurate hardware module model."""
+
+    #: plain (non-storage) attributes that are part of the module's state
+    #: and that :meth:`clone` carries over besides registers and SRAMs
+    _state_fields: tuple[str, ...] = ()
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._registers: "OrderedDict[str, Register | RegisterArray]" = OrderedDict()
         self._srams: "OrderedDict[str, SramArray]" = OrderedDict()
-        self._target_bit_index: list[tuple[str, int, int]] | None = None
 
     # ------------------------------------------------------------------
     # Inventory declaration
@@ -41,7 +47,6 @@ class RtlModule:
             raise ValueError(f"duplicate storage element {name!r}")
         register = Register(name, width, **kwargs)
         self._registers[name] = register
-        self._target_bit_index = None
         return register
 
     def reg_array(self, name: str, entries: int, width: int, **kwargs) -> RegisterArray:
@@ -50,7 +55,6 @@ class RtlModule:
             raise ValueError(f"duplicate storage element {name!r}")
         array = RegisterArray(name, entries, width, **kwargs)
         self._registers[name] = array
-        self._target_bit_index = None
         return array
 
     def sram_array(
@@ -87,7 +91,17 @@ class RtlModule:
         """Flip-flops eligible for error injection (Table 4 column 1)."""
         return self.flip_flop_count_by_class()[FlipFlopClass.TARGET]
 
-    def _build_target_index(self) -> list[tuple[str, int, int]]:
+    def _layout_key(self) -> tuple:
+        """Everything the target-bit index depends on."""
+        return (
+            type(self),
+            tuple(
+                (name, getattr(reg, "entries", None), reg.width, reg.ff_class)
+                for name, reg in self._registers.items()
+            ),
+        )
+
+    def _build_target_index(self) -> tuple[tuple[str, int, int], ...]:
         index: list[tuple[str, int, int]] = []
         for name, reg in self._registers.items():
             if reg.ff_class is not FlipFlopClass.TARGET:
@@ -99,13 +113,19 @@ class RtlModule:
             else:
                 for bit in range(reg.width):
                     index.append((name, 0, bit))
-        return index
+        return tuple(index)
 
-    def target_bits(self) -> list[tuple[str, int, int]]:
-        """Ordered ``(register, entry, bit)`` list of all target flip-flops."""
-        if self._target_bit_index is None:
-            self._target_bit_index = self._build_target_index()
-        return self._target_bit_index
+    def target_bits(self) -> tuple[tuple[str, int, int], ...]:
+        """Ordered ``(register, entry, bit)`` list of all target flip-flops.
+
+        Built once per register layout and shared by all instances that
+        have it (every injection attaches a fresh module).
+        """
+        key = self._layout_key()
+        index = _TARGET_INDEX_CACHE.get(key)
+        if index is None:
+            index = _TARGET_INDEX_CACHE[key] = self._build_target_index()
+        return index
 
     def flip_target_bit(self, index: int) -> tuple[str, int, int]:
         """Inject a bit flip into target flip-flop ``index``.
@@ -159,9 +179,26 @@ class RtlModule:
         for name, sram in self._srams.items():
             sram.restore(state["sram:" + name])
 
+    def _fresh(self) -> "RtlModule":
+        """A new, unwired instance with this module's register layout.
+
+        The default suits modules whose constructor takes no arguments;
+        modules built from geometry or wiring override it.
+        """
+        return type(self)()
+
     def clone(self) -> "RtlModule":
-        """Deep copy -- used to create the golden component at co-sim entry."""
-        return copy.deepcopy(self)
+        """State copy -- how the golden component is created at injection.
+
+        A fresh instance of the same layout takes over this module's
+        registers, SRAMs and :attr:`_state_fields`.  Wiring (callbacks,
+        memory ports) is not copied: the caller binds the clone's own.
+        """
+        twin = self._fresh()
+        twin.restore(self.snapshot())
+        for name in self._state_fields:
+            setattr(twin, name, getattr(self, name))
+        return twin
 
     def reset_flip_flops(
         self, preserve_config: bool = True, preserve_protected: bool = True

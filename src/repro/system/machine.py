@@ -44,6 +44,7 @@ import bisect
 import dataclasses
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.cpu import Core, ThreadState
 from repro.mem.dram import Dram
@@ -143,6 +144,10 @@ class Machine:
         #: the benchmark harness's cycles/sec numerator
         self.cycles_advanced = 0
         self.dram = Dram()
+        #: called before a device write lands in live memory (a
+        #: co-simulation adapter warming up without its golden copy
+        #: forks the copy there); not part of the snapshot
+        self.before_device_write: "Callable[[], None] | None" = None
         self.output: dict[int, int] = {}
         self.last_store_cycle: dict[int, int] = {}
         #: store cycles per word (kept only when rollback analysis is on)
@@ -318,6 +323,9 @@ class Machine:
 
     def dma_write_word(self, addr: int, value: int) -> None:
         """Coherent device write (PCIe DMA): memory plus resident L2 copy."""
+        hook = self.before_device_write
+        if hook is not None:
+            hook()
         self.dram.write_word(addr, value)
         bank = self.amap.bank_of(addr)
         server = self.l2banks[bank]

@@ -40,6 +40,8 @@ _FIELDS = dict(valid=1, ptype=3, core=3, thread=3, addr=40, data=64, reqid=16)
 class CcxRtl(RtlModule):
     """RTL model of the crossbar (single instance on the chip)."""
 
+    _state_fields = ("protocol_errors", "write_disable", "dropped")
+
     def __init__(self, amap: AddressMap) -> None:
         super().__init__("ccx")
         self.amap = amap
@@ -75,6 +77,9 @@ class CcxRtl(RtlModule):
         self.write_disable = False
         #: packets that overflowed an input FIFO (dropped)
         self.dropped = 0
+
+    def _fresh(self) -> "CcxRtl":
+        return CcxRtl(self.amap)
 
     # ------------------------------------------------------------------
     # FIFO helpers

@@ -66,6 +66,8 @@ _WORD_MASK = (1 << 64) - 1
 class L2cRtl(RtlModule):
     """RTL model of one L2C bank instance."""
 
+    _state_fields = ("protocol_errors", "write_disable")
+
     def __init__(
         self,
         bank: int,
@@ -219,6 +221,9 @@ class L2cRtl(RtlModule):
         #: when True, writes to the architected SRAMs are suppressed and
         #: output-valid signals are gated (QRR recovery, Sec. 6.2).
         self.write_disable = False
+
+    def _fresh(self) -> "L2cRtl":
+        return L2cRtl(self.bank, self.amap, self.ways, send_mcu=None)
 
     # ------------------------------------------------------------------
     # Register-bank plumbing

@@ -51,6 +51,8 @@ _WORD_MASK = (1 << 64) - 1
 class McuRtl(RtlModule):
     """RTL model of one MCU instance."""
 
+    _state_fields = ("protocol_errors", "write_disable")
+
     def __init__(self, mcu_idx: int, dram) -> None:
         super().__init__(f"mcu{mcu_idx}")
         self.mcu_idx = mcu_idx
@@ -152,6 +154,9 @@ class McuRtl(RtlModule):
         self.replies: list[McuReply] = []
         self.protocol_errors = 0
         self.write_disable = False
+
+    def _fresh(self) -> "McuRtl":
+        return McuRtl(self.mcu_idx, None)
 
     # ------------------------------------------------------------------
     # Server interface (same shape as HighLevelMcu)

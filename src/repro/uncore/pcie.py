@@ -46,6 +46,10 @@ _WORD_MASK = (1 << 64) - 1
 class PcieRtl(RtlModule):
     """RTL model of the PCIe controller's DMA input engine."""
 
+    #: ``file_words`` is host-side data that is replaced, never mutated,
+    #: so a clone may share it
+    _state_fields = ("file_words", "start_cycle", "finish_cycle", "write_disable")
+
     def __init__(self, port) -> None:
         """``port`` provides ``write_word(addr, value)`` (coherent path)."""
         super().__init__("pcie")
@@ -123,6 +127,9 @@ class PcieRtl(RtlModule):
         self.start_cycle = 0
         self.finish_cycle: "int | None" = None
         self.write_disable = False
+
+    def _fresh(self) -> "PcieRtl":
+        return PcieRtl(None)
 
     # ------------------------------------------------------------------
     # HighLevelPcieDma-compatible interface

@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -54,11 +55,8 @@ GRID = Grid(
     scale=5e-6,
 )
 
-#: Zero-backoff so recovery paths never sleep; a 1.5s deadline is ~5x a
-#: cell's runtime, so healthy cells never trip it.
-DEADLINE_RETRY = RetryPolicy(
-    max_attempts=5, backoff_base=0.0, cell_timeout=1.5
-)
+#: per-cell deadline as a multiple of the slowest cell's cold serial time
+DEADLINE_FACTOR = 5
 
 
 def _blobs(results):
@@ -66,8 +64,32 @@ def _blobs(results):
 
 
 @pytest.fixture(scope="module")
-def serial_baseline():
-    return _blobs(SerialExecutor().run(GRID.specs()))
+def serial_run():
+    """Each GRID cell through a fresh serial executor, as a worker runs
+    it cold: the canonical bytes, and the slowest cell's wall time."""
+    blobs, slowest = [], 0.0
+    for spec in GRID.specs():
+        t0 = time.perf_counter()
+        blobs += _blobs(SerialExecutor().run([spec]))
+        slowest = max(slowest, time.perf_counter() - t0)
+    return blobs, slowest
+
+
+@pytest.fixture(scope="module")
+def serial_baseline(serial_run):
+    return serial_run[0]
+
+
+@pytest.fixture(scope="module")
+def deadline_retry(serial_run):
+    """Zero backoff so recovery paths never sleep.  The deadline is
+    measured on this host, under its current load, so healthy cells
+    never trip it however loaded the host is."""
+    return RetryPolicy(
+        max_attempts=5,
+        backoff_base=0.0,
+        cell_timeout=round(DEADLINE_FACTOR * serial_run[1], 3),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +196,7 @@ def _freeze_first_cell_start(events, frozen):
 
 
 def test_parallel_sigstopped_worker_hits_deadline_and_recovers(
-    serial_baseline,
+    serial_baseline, deadline_retry
 ):
     specs = GRID.specs()
     events, frozen = [], []
@@ -185,7 +207,7 @@ def test_parallel_sigstopped_worker_hits_deadline_and_recovers(
         hook(event)
         state.handle(event)
 
-    executor = ParallelExecutor(workers=2, retry=DEADLINE_RETRY)
+    executor = ParallelExecutor(workers=2, retry=deadline_retry)
     try:
         results = executor.run(specs, on_event=on_event)
     finally:
@@ -196,7 +218,7 @@ def test_parallel_sigstopped_worker_hits_deadline_and_recovers(
     timeouts = [e for e in events if e["type"] == "cell_timeout"]
     assert timeouts, "the frozen cell never tripped its deadline"
     assert timeouts[0]["worker"] == frozen[0]
-    assert timeouts[0]["timeout"] == DEADLINE_RETRY.cell_timeout
+    assert timeouts[0]["timeout"] == deadline_retry.cell_timeout
     report = state.report()
     assert report["done"] == len(specs)
     assert report["malformed_events"] == 0
@@ -204,7 +226,7 @@ def test_parallel_sigstopped_worker_hits_deadline_and_recovers(
 
 
 def test_cluster_sigstopped_worker_hits_deadline_and_recovers(
-    tmp_path, serial_baseline
+    tmp_path, serial_baseline, deadline_retry
 ):
     specs = GRID.specs()
     events, frozen = [], []
@@ -222,7 +244,7 @@ def test_cluster_sigstopped_worker_hits_deadline_and_recovers(
         # a frozen worker also stops heartbeating; park that detector so
         # the *deadline* path is provably what recovers the cell
         heartbeat_timeout=60.0,
-        retry=DEADLINE_RETRY,
+        retry=deadline_retry,
     )
     try:
         results = executor.run(specs, on_event=on_event)
@@ -344,7 +366,7 @@ class _DropFirstLanding:
 
 
 def test_dropped_landing_ack_recovers_via_deadline(
-    tmp_path, serial_baseline
+    tmp_path, serial_baseline, deadline_retry
 ):
     specs = GRID.specs()
     chaos = _DropFirstLanding()
@@ -356,7 +378,7 @@ def test_dropped_landing_ack_recovers_via_deadline(
         cache_dir=tmp_path / "bus",
         heartbeat_interval=0.2,
         heartbeat_timeout=60.0,
-        retry=DEADLINE_RETRY,
+        retry=deadline_retry,
     )
     results = executor.run(specs, on_event=events.append)
     assert chaos.dropped == 2, "no landing was ever swallowed"

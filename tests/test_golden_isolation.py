@@ -32,6 +32,9 @@ def _attach_and_run(platform, component, instance, cycles):
     machine.restore(platform.golden.snapshots[0])
     machine.run_until_cycle(min(500, platform.golden.cycles // 4))
     adapter = platform._attach_quiesced(component, instance)
+    # fork at attach, so the golden copy runs beside the target (solo
+    # warmup relies on the two staying identical until the flip)
+    adapter.fork_golden()
     for _ in range(cycles):
         machine.step()
     return adapter

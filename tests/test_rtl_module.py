@@ -266,3 +266,59 @@ class TestFlipProperties:
         mismatches = m.compare(ToyModule())
         assert len(mismatches) == 1
         assert mismatches[0].bit_count == 1
+
+
+def _wiring(module) -> list:
+    """Objects the module's plain attributes point at, bound methods
+    resolved to their owner."""
+    out = []
+    for value in vars(module).values():
+        out.append(getattr(value, "__self__", value))
+    return out
+
+
+class TestCloneIsAStateCopy:
+    """``clone()`` copies state only: the golden copy gets its own wiring."""
+
+    @pytest.fixture(scope="class")
+    def machine(self):
+        from repro.system.machine import Machine, MachineConfig
+
+        return Machine(MachineConfig(cores=2, threads_per_core=2, l2_sets=16))
+
+    def _adapter(self, machine, component):
+        from repro.mixedmode.adapters import make_adapter
+
+        return make_adapter(machine, component, 0)
+
+    @pytest.mark.parametrize("component", ["l2c", "mcu", "ccx", "pcie"])
+    def test_clone_shares_no_port_dram_or_machine(self, machine, component):
+        adapter = self._adapter(machine, component)
+        target = adapter.target
+        target.flip_target_bit(7)
+        target.write_disable = True
+        if hasattr(target, "protocol_errors"):
+            target.protocol_errors = 3
+        twin = target.clone()
+        assert type(twin) is type(target)
+        assert twin.compare(target) == []
+        for name in type(target)._state_fields:
+            assert getattr(twin, name) == getattr(target, name)
+        wiring = _wiring(twin)
+        for foreign in (machine, machine.dram, adapter, getattr(adapter, "target_port", None)):
+            if foreign is not None:
+                assert all(obj is not foreign for obj in wiring)
+        # no register object is shared either
+        for name, reg in target.registers().items():
+            assert twin.registers()[name] is not reg
+
+    def test_callback_and_ports_left_for_the_caller(self, machine):
+        assert self._adapter(machine, "l2c").target.clone().send_mcu is None
+        assert self._adapter(machine, "mcu").target.clone().dram is None
+        assert self._adapter(machine, "pcie").target.clone().port is None
+
+    def test_target_index_shared_per_layout(self, machine):
+        a = self._adapter(machine, "l2c").target
+        b = self._adapter(machine, "l2c").target
+        assert a.target_bits() is b.target_bits()
+        assert len(a.target_bits()) == a.target_flip_flop_count()
