@@ -32,6 +32,30 @@ because every input the golden copy would see is reproduced for it:
   therefore fork before the first device write of their warmup
   (counted by the ``cosim.golden_forks_early`` obs counter).
 
+Activity gating: the L2C and MCU adapters join the event engine's
+``next_active_cycle()`` protocol.  An adapter sleeps (``None``) while
+its target and, once forked, its golden copy are both idle; otherwise
+it is due now.  Skipping a tick is exact only where the tick is
+provably known:
+
+* an idle L2C tick (every queue, pipeline stage, MB/FQ/WBB/INVQ entry
+  and ``mcu_req_valid`` clear, and last tick's ``store_miss_done_*``,
+  ``exec_log`` and ``store_miss_completions`` cleared) is a pure no-op,
+  so a sleeping L2C needs no catch-up;
+* an idle MCU tick only advances its free-running state: the refresh
+  engine and the ``phy_strobe_align`` shift register.  The adapter
+  remembers the next cycle it has not ticked and applies the skipped
+  idle ticks (:meth:`repro.uncore.mcu.McuRtl.advance_idle`) before any
+  tick or ``accept`` and before any outside read of ``target`` or
+  ``golden`` -- so compare, fork, fault application and ``in_flight``
+  all see caught-up state.
+
+Everything that can make a sleeping copy busy wakes its slot: PCX
+delivery, MCU requests and MCU replies go through the machine's wake
+paths, and every fault application reschedules (a flip can turn an
+idle target busy).  The ``cosim.rtl_ticks`` obs counter counts the RTL
+ticks actually executed (target and golden).
+
 Golden isolation invariants, once the copy exists:
 
 * the golden component never writes live memory -- its writebacks land
@@ -99,6 +123,7 @@ class CosimAdapterBase:
         self.golden_diverged = False
         self._golden: "RtlModule | None" = None
         self._early_forks = obs.counter("cosim.golden_forks_early")
+        self._rtl_ticks = obs.counter("cosim.rtl_ticks")
 
     # -- hooks implemented per component --------------------------------
     target = None
@@ -170,28 +195,35 @@ class CosimAdapterBase:
         return self.target.in_flight()
 
     # -- injection (always into a target that has its golden copy) ------
+    def _inject(self, apply, *args):
+        """Fork the golden copy, apply one fault to the target, and wake
+        the slot: a fault can make an idle (sleeping) target busy.  A
+        fault that changed nothing (``apply`` returned False) leaves the
+        schedule alone."""
+        self.fork_golden()
+        result = apply(self.target, *args)
+        if result is not False:
+            self.machine.uncore_changed()
+        return result
+
     def flip(self, bit_index: int) -> tuple[str, int, int]:
         """Inject the bit flip into the target (Fig. 1b, item 4)."""
-        self.fork_golden()
-        return self.target.flip_target_bit(bit_index)
+        return self._inject(RtlModule.flip_target_bit, bit_index)
 
     # -- location-addressed injection (the fault-model subsystem) --------
     def flip_at(self, name: str, entry: int, bit: int) -> tuple[str, int, int]:
         """Flip an explicit flip-flop location in the target."""
-        self.fork_golden()
-        self.target.flip_bit(name, entry, bit)
+        self._inject(RtlModule.flip_bit, name, entry, bit)
         return (name, entry, bit)
 
     def flip_sram(self, name: str, entry: int, bit: int) -> tuple[str, int, int]:
         """Flip a bit inside one of the target's SRAM rows."""
-        self.fork_golden()
-        self.target.flip_sram_bit(name, entry, bit)
+        self._inject(RtlModule.flip_sram_bit, name, entry, bit)
         return ("sram:" + name, entry, bit)
 
     def force_at(self, name: str, entry: int, bit: int, value: int) -> bool:
         """Force a target flip-flop to ``value`` (stuck-at assertion)."""
-        self.fork_golden()
-        return self.target.force_bit(name, entry, bit, value)
+        return self._inject(RtlModule.force_bit, name, entry, bit, value)
 
     # -- swapping in and out ----------------------------------------------
     def attach(self) -> None:
@@ -307,9 +339,17 @@ class L2cCosimAdapter(_MemoryForkAdapter):
     def tick(self, cycle: int) -> list[CpxPacket]:
         out_t = self.target.tick(cycle)
         golden = self._golden
+        self._rtl_ticks.inc(1 if golden is None else 2)
         if golden is not None and golden.tick(cycle) != out_t:
             self._note_output_mismatch(cycle)
         return out_t
+
+    def next_active_cycle(self) -> "int | None":
+        """Sleep while both copies are idle (an idle tick is a no-op)."""
+        golden = self._golden
+        if self.target.idle() and (golden is None or golden.idle()):
+            return None
+        return self.machine.cycle
 
     def dma_update(self, addr: int, value: int) -> None:
         """Coherent DMA update applied to both copies (device writes are
@@ -358,7 +398,9 @@ class McuCosimAdapter(_MemoryForkAdapter):
     """Co-simulates one MCU against its golden copy.
 
     The MCU is self-contained (requests in, replies/DRAM traffic out),
-    so the golden copy simply runs on a fork of main memory.
+    so the golden copy simply runs on a fork of main memory.  While the
+    slot sleeps the copies fall behind by idle ticks, which
+    :attr:`target`/:attr:`golden` and the server methods catch up first.
     """
 
     golden_reads_memory = True
@@ -370,27 +412,70 @@ class McuCosimAdapter(_MemoryForkAdapter):
         self.target_port = WriteTrackingPort(machine.dram)
         self.golden_port = WriteTrackingPort(self.golden_dram)
         self.target_port.mirror = self.golden_port
-        self.target = McuRtl(mcu_idx, self.target_port)
+        self._target = McuRtl(mcu_idx, self.target_port)
+        #: first cycle the copies have not been ticked through while
+        #: attached (None: not attached, nothing to catch up)
+        self._next_tick: "int | None" = None
+
+    @property
+    def target(self) -> McuRtl:
+        self._catch_up(self.machine.cycle)
+        return self._target
+
+    @property
+    def golden(self) -> McuRtl:
+        self._catch_up(self.machine.cycle)
+        return super().golden
+
+    def _catch_up(self, cycle: int) -> None:
+        """Apply the idle ticks skipped before ``cycle`` while asleep."""
+        due = self._next_tick
+        if due is not None and cycle > due:
+            self._target.advance_idle(cycle - due)
+            if self._golden is not None:
+                self._golden.advance_idle(cycle - due)
+            self._next_tick = cycle
 
     def _fork(self) -> RtlModule:
         golden = super()._fork()
         golden.dram = self.golden_port
         return golden
 
+    def next_active_cycle(self) -> "int | None":
+        """Sleep while both copies are idle (caught up on waking)."""
+        golden = self._golden
+        if self._target.idle() and (golden is None or golden.idle()):
+            return None
+        return self.machine.cycle
+
     def accept(self, req: McuRequest, cycle: int) -> bool:
-        ok = self.target.accept(req, cycle)
+        self._catch_up(cycle)
+        ok = self._target.accept(req, cycle)
         golden = self._golden
         if ok and golden is not None and not golden.accept(req, cycle):
             self.golden_diverged = True
         return ok
 
     def tick(self, cycle: int) -> None:
-        rep_t = self.target.tick(cycle)
+        self._catch_up(cycle)
+        rep_t = self._target.tick(cycle)
         golden = self._golden
+        self._rtl_ticks.inc(1 if golden is None else 2)
         if golden is not None and golden.tick(cycle) != rep_t:
             self._note_output_mismatch(cycle)
+        self._next_tick = cycle + 1
         for reply in rep_t:
             self.machine._route_mcu_reply(reply)
+
+    def attach(self) -> None:
+        self._next_tick = self.machine.cycle
+        super().attach()
+
+    def _swap_out(self) -> None:
+        # freeze the copies at the swap-out cycle
+        self._catch_up(self.machine.cycle)
+        self._next_tick = None
+        super()._swap_out()
 
     def _plug(self, server) -> None:
         self.machine.mcus[self.mcu_idx] = server
@@ -420,6 +505,7 @@ class CcxCosimAdapter(CosimAdapterBase):
 
     def tick(self, cycle: int) -> None:
         self.target.tick(cycle)
+        self._rtl_ticks.inc(1 if self._golden is None else 2)
         if self._golden is not None:
             self._golden.tick(cycle)
 
@@ -502,6 +588,7 @@ class PcieCosimAdapter(_MemoryForkAdapter):
 
     def tick(self, cycle: int) -> None:
         self.target.tick(cycle)
+        self._rtl_ticks.inc(1 if self._golden is None else 2)
         if self._golden is not None:
             self._golden.tick(cycle)
         # while warming up alone the mirror makes both streams equal

@@ -383,8 +383,7 @@ class MixedModePlatform:
         machine.restore(snap)
         machine.run_until_cycle(injection_cycle)
         adapter = self._attach_quiesced(component, instance)
-        for _ in range(warmup):
-            machine.step()
+        machine.run_until_cycle(machine.cycle + warmup)
 
         # ---- phase 2: inject and co-simulate ------------------------------
         adapter.fork_golden()
@@ -403,8 +402,7 @@ class MixedModePlatform:
         while True:
             steps = min(check, cap - cosim.cosim_cycles)
             if live is None:
-                for _ in range(steps):
-                    machine.step()
+                machine.run_until_cycle(machine.cycle + steps)
             else:
                 self._step_with_live_fault(adapter, live, steps)
             cosim.cosim_cycles += steps

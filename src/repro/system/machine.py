@@ -15,8 +15,10 @@ Three cycle engines share identical observable behaviour:
   cycle (:meth:`next_active_cycle`); ``step()`` only ticks components
   that are due and cores that can issue, and the batched run loops skip
   whole idle stretches (all uncore quiescent, no core issuable) in one
-  hop.  Components without the protocol (RTL co-simulation adapters,
-  QRR servers) are conservatively ticked every cycle.
+  hop.  The L2C and MCU co-simulation adapters join the protocol too:
+  they sleep while both RTL copies are idle (see
+  :mod:`repro.mixedmode.adapters`).  Components without it (the CCX and
+  PCIe adapters, QRR servers) are conservatively ticked every cycle.
 * ``engine="compiled"`` -- the event engine plus the basic-block
   superinstruction core path (:mod:`repro.core.blocks`): straight-line
   instruction runs execute as one fused closure spread over their
@@ -356,8 +358,9 @@ class Machine:
     @staticmethod
     def _probe_of(comp):
         """The component's ``next_active_cycle`` method, or None for
-        models without the protocol (RTL co-simulation adapters, QRR
-        servers): those are conservatively ticked every cycle."""
+        models without the protocol (the CCX and PCIe co-simulation
+        adapters, QRR servers): those are conservatively ticked every
+        cycle."""
         return getattr(comp, "next_active_cycle", None)
 
     @staticmethod
@@ -553,7 +556,10 @@ class Machine:
         entry of ``machine.l2banks``/``machine.mcus`` is replaced (the
         co-simulation adapters and QRR servers do this in their
         attach/detach/release paths); otherwise the event engine may keep
-        an earlier component's sleep schedule for the new one.
+        an earlier component's sleep schedule for the new one.  The same
+        holds for a change made to a component outside its server
+        interface: the co-simulation adapters call it after applying a
+        fault, which can turn a sleeping RTL copy busy.
         """
         self._refresh_wakes()
 

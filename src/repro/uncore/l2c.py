@@ -209,6 +209,13 @@ class L2cRtl(RtlModule):
         assert counts[FlipFlopClass.INACTIVE] == INACTIVE_FFS
         assert self.flip_flop_count() == TOTAL_FFS
 
+        #: the 1-bit valid arrays of every pipeline stage and buffer whose
+        #: entries count as in flight (the queues count via iq/oq_count)
+        self._valid_arrays = tuple(
+            self._registers[f"{prefix}_valid"]
+            for prefix in ("p1", "p2", "p3", "p4", "mb", "fq", "wbb", "invq")
+        )
+
         #: store-miss completions observed this tick (QRR hook).
         self.store_miss_completions: list[int] = []
         #: operations executed this tick as (reqid, reply_packet) -- the
@@ -394,19 +401,28 @@ class L2cRtl(RtlModule):
         return self._drain_oq()
 
     def in_flight(self) -> int:
-        count = self.iq_count.value + self.oq_count.value
-        for stage in range(1, 5):
-            count += self._entry_valid(f"p{stage}", 0)
-        for i in range(MB_ENTRIES):
-            count += self._entry_valid("mb", i)
-        for i in range(FQ_ENTRIES):
-            count += bool(self.fq_valid.read(i))
-        for i in range(WBB_ENTRIES):
-            count += bool(self.wbb_valid.read(i))
-        for i in range(INVQ_ENTRIES):
-            count += bool(self.invq_valid.read(i))
-        count += bool(self.mcu_req_valid.value)
+        count = (
+            self.iq_count.value + self.oq_count.value + self.mcu_req_valid.value
+        )
+        for array in self._valid_arrays:
+            count += sum(array.values)
         return count
+
+    def idle(self) -> bool:
+        """Whether :meth:`tick` would be a pure no-op.
+
+        True when nothing is queued, in the pipeline or outstanding
+        (``in_flight() == 0``) and the previous tick's completion
+        signals (``store_miss_done_*``, :attr:`exec_log`,
+        :attr:`store_miss_completions`) are already clear.
+        """
+        return not (
+            self.store_miss_done_valid.value
+            or self.store_miss_done_reqid.value
+            or self.exec_log
+            or self.store_miss_completions
+            or self.in_flight()
+        )
 
     # ------------------------------------------------------------------
     # Datapath stages

@@ -38,6 +38,8 @@ ROW_MISS_LATENCY = 58
 #: refresh interval and duration
 REFRESH_INTERVAL = 2048
 REFRESH_CYCLES = 12
+#: width of the strobe-alignment shift register
+STROBE_BITS = 36
 
 #: Table 3 / Table 4 totals for one MCU instance.
 TOTAL_FFS = 18_068
@@ -46,6 +48,7 @@ PROTECTED_FFS = 4_782
 INACTIVE_FFS = 1_279
 
 _WORD_MASK = (1 << 64) - 1
+_STROBE_MASK = (1 << STROBE_BITS) - 1
 
 
 class McuRtl(RtlModule):
@@ -113,7 +116,9 @@ class McuRtl(RtlModule):
         self.reg("cfg_addr_decode", 160, reset_value=0x77, config=True)
 
         # ---- timing-critical FFs (hardened under QRR, Sec. 6.4 cat. 1: 36 FFs) -----------
-        self.phy_strobe_align = self.reg("phy_strobe_align", 36, timing_critical=True)
+        self.phy_strobe_align = self.reg(
+            "phy_strobe_align", STROBE_BITS, timing_critical=True
+        )
 
         # ---- performance counters ------------------------------------------------------
         self.perf_reads = self.reg("perf_reads", 64, functional=False)
@@ -149,6 +154,9 @@ class McuRtl(RtlModule):
         assert counts[FlipFlopClass.PROTECTED] == PROTECTED_FFS
         assert counts[FlipFlopClass.INACTIVE] == INACTIVE_FFS
         assert self.flip_flop_count() == TOTAL_FFS
+
+        #: valid arrays whose entries count as in flight (with rq_count)
+        self._valid_arrays = (self.svc_valid, self.rrq_valid, self.wdb_valid)
 
         #: replies produced this tick.
         self.replies: list[McuReply] = []
@@ -205,19 +213,84 @@ class McuRtl(RtlModule):
         # counter (timing-critical shadow state, re-derived every cycle)
         self.phy_strobe_align.write(
             ((self.phy_strobe_align.value << 1) | (self.refresh_ctr.value & 1))
-            & ((1 << 36) - 1)
+            & _STROBE_MASK
         )
         return self.replies
 
     def in_flight(self) -> int:
         count = self.rq_count.value
-        for i in range(DRAM_BANKS):
-            count += bool(self.svc_valid.read(i))
-        for i in range(RRQ_ENTRIES):
-            count += bool(self.rrq_valid.read(i))
-        for i in range(WDB_ENTRIES):
-            count += bool(self.wdb_valid.read(i))
+        for array in self._valid_arrays:
+            count += sum(array.values)
         return count
+
+    def idle(self) -> bool:
+        """Whether :meth:`tick` only advances the free-running state.
+
+        With nothing queued, in service, buffered or returning
+        (``in_flight() == 0``), a tick moves just the refresh engine
+        (``refresh_busy``/``refresh_ctr``/``perf_refreshes``/
+        ``bank_row_valid``) and the ``phy_strobe_align`` shift register;
+        :meth:`advance_idle` applies any number of such ticks at once.
+        """
+        return self.in_flight() == 0
+
+    def advance_idle(self, k: int) -> None:
+        """Leave exactly the state of ``k`` idle :meth:`tick` calls.
+
+        Valid only while :meth:`idle` holds.  All but the last
+        :data:`STROBE_BITS` ticks are skipped in closed form: from a
+        refresh the engine repeats every ``REFRESH_CYCLES +
+        REFRESH_INTERVAL`` ticks, and ``phy_strobe_align`` depends on
+        nothing but the refresh counter's parity over the last
+        :data:`STROBE_BITS` ticks, which run one by one.
+        """
+        if k <= 0:
+            return
+        self.replies = []
+        if self.write_disable:
+            return
+        busy = self.refresh_busy.value
+        ctr = self.refresh_ctr.value
+        phy = self.phy_strobe_align.value
+        refreshes = 0
+        skip = k - STROBE_BITS
+        if skip > 0:
+            k = STROBE_BITS
+            spent = min(busy, skip)
+            busy -= spent
+            skip -= spent
+            if skip:
+                first = (ctr + 1) % REFRESH_INTERVAL
+                # ticks up to and including the one that wraps ctr to 0
+                to_refresh = (REFRESH_INTERVAL - first) % REFRESH_INTERVAL + 1
+                if skip < to_refresh:
+                    ctr = first + skip - 1
+                else:
+                    period = REFRESH_CYCLES + REFRESH_INTERVAL
+                    rest = skip - to_refresh
+                    refreshes = 1 + rest // period
+                    phase = rest % period
+                    if phase <= REFRESH_CYCLES:
+                        busy, ctr = REFRESH_CYCLES - phase, 0
+                    else:
+                        busy, ctr = 0, phase - REFRESH_CYCLES
+        for _ in range(k):
+            # _refresh_tick and the strobe shift of tick(), on plain ints
+            if busy:
+                busy -= 1
+            else:
+                ctr = (ctr + 1) % REFRESH_INTERVAL
+                if ctr == 0:
+                    busy = REFRESH_CYCLES
+                    refreshes += 1
+            phy = ((phy << 1) | (ctr & 1)) & _STROBE_MASK
+        self.refresh_busy.write(busy)
+        self.refresh_ctr.write(ctr)
+        self.phy_strobe_align.write(phy)
+        if refreshes:
+            self.perf_refreshes.write(self.perf_refreshes.value + refreshes)
+            for b in range(DRAM_BANKS):
+                self.bank_row_valid.write(b, 0)
 
     #: callback set by the owner to deliver replies (adapter wiring)
     send_reply = None
