@@ -47,8 +47,9 @@ worker events through a manager queue drained by a coordinator thread,
 so ``on_event`` always runs in the calling process.  Events are pure
 telemetry: emitting them never changes results (the serial/parallel
 byte-identity contract holds with or without a callback), and callback
-exceptions are swallowed so observers cannot break a sweep -- the first
-failure per run is logged once so a broken consumer stays diagnosable.
+exceptions are caught and dropped so observers cannot break a sweep --
+the first failure per run is logged once so a broken consumer stays
+diagnosable.
 
 Resilience
 ----------

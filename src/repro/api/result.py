@@ -4,8 +4,8 @@ All three experiment modes (injection, QRR, golden) reduce to one
 :class:`ExperimentResult`: the spec that produced it, one
 :class:`RunRecord` per run, and the golden-run length.  Aggregates
 (outcome counts, persistent tally, recovery stats, latency samples) are
-derived from the records, so the schema is lossless: ``save()`` followed
-by ``load()`` reproduces an equal object, and merging or re-aggregating
+derived from the records, so the schema is lossless: ``save()`` then
+``load()`` reproduces an equal object, and merging or re-aggregating
 sweep output never needs the original process.
 """
 

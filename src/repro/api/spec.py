@@ -59,12 +59,12 @@ class ExperimentSpec:
             to ``None`` -- is the paper's single-bit flip.  Stored in
             canonical form so two specs share a digest iff they run the
             same fault.
-        engine: machine cycle engine (``event``/``reference``/
-            ``compiled``); ``None`` defers to the session default.  All
-            engines are bit-identical (the differential suite enforces
-            it), so the engine is a performance knob only: it is
-            excluded from equality, digests and the canonical JSON so
-            results and cache entries are engine-independent.
+        engine: machine cycle engine (``event``/``reference``);
+            ``None`` defers to the session default.  Both engines are
+            bit-identical (the differential suite enforces it), so the
+            engine is a performance knob only: it is excluded from
+            equality, digests and the canonical JSON so results and
+            cache entries are engine-independent.
     """
 
     benchmark: str = "fft"

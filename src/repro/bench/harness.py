@@ -1,8 +1,7 @@
 """Cycle-engine benchmark scenarios and the canonical BENCH JSON.
 
 Four scenarios cover the hot paths of the reproduction, each timed under
-all three cycle engines (``event`` -- the default activity-tracked
-engine --, ``compiled`` -- the block-superinstruction core engine --
+both cycle engines (``event`` -- the default activity-tracked engine --
 and ``reference`` -- the everything-every-cycle baseline stepper):
 
 * ``golden``: the error-free reference run with periodic (delta)
@@ -28,12 +27,12 @@ event engine's one-hop idle skips, so all engines are measured against
 the same denominator.  Each scenario runs ``repeats`` times and keeps
 the best (the host's scheduling noise is substantial).
 
-Schema v2 added per-engine golden ``phases`` breakdowns and the
-compiled-engine speedup ratios.  Schema v3 keeps ``seconds`` = best (so
-baseline comparisons stay valid across the bump) and adds a ``spread``
-entry per bench -- min/median/max/stdev over the repeats -- so host
-noise is visible in the document instead of silently discarded;
-:func:`check_against_baseline` flags noisy hosts from it.  The golden
+Schema v2 added per-engine golden ``phases`` breakdowns.  Schema v3
+keeps ``seconds`` = best (so baseline comparisons stay valid across the
+bump) and adds a ``spread`` entry per bench -- min/median/max/stdev over
+the repeats -- so host noise is visible in the document instead of
+silently discarded; :func:`check_against_baseline` flags noisy hosts
+from it.  The golden
 phase breakdown now comes from the timed repeats themselves via
 ``Machine.instrument_phases`` (the obs span/timer API) instead of a
 separate monkey-patched pass.
@@ -57,7 +56,7 @@ from repro.mixedmode.platform import CosimConfig, MixedModePlatform, compute_gol
 from repro.obs import Timer
 from repro.obs.registry import spread
 from repro.qrr.campaign import QrrCampaign
-from repro.system.machine import ENGINES, Machine, MachineConfig
+from repro.system.machine import DEFAULT_ENGINE, ENGINES, Machine, MachineConfig
 from repro.workloads import build_workload
 
 #: Bump when the BENCH JSON layout changes incompatibly.
@@ -479,8 +478,6 @@ def run_benches(
             entry[engine] = fn(engine, settings, log)
         for name, num, den in (
             ("speedup_event_vs_reference", "event", "reference"),
-            ("speedup_compiled_vs_reference", "compiled", "reference"),
-            ("speedup_compiled_vs_event", "compiled", "event"),
         ):
             if num in entry and den in entry:
                 base = entry[den]["cycles_per_sec"]
@@ -509,7 +506,6 @@ def run_benches(
 def fault_overhead_guard(
     settings: "BenchSettings | None" = None,
     log=lambda line: None,
-    engine: str = "event",
 ) -> dict:
     """Measure the fault-subsystem tax on the default injection path.
 
@@ -523,15 +519,13 @@ def fault_overhead_guard(
     relative overhead.  Both paths execute bit-identical simulation
     work, so the ratio isolates the subsystem's dispatch cost; the
     runs interleave (best-of) to cancel host drift.  CI gates this at
-    5% (``repro bench --fault-guard``), for both the event and the
-    compiled engine (``--fault-guard-engine``) so the compiled fast
-    path's de-optimization hooks stay within budget too.
+    5% (``repro bench --fault-guard``) on the default engine.
     """
     from repro.injection.campaign import InjectionCampaign
     from repro.soc.geometry import T2_GEOMETRY
 
     settings = settings if settings is not None else BenchSettings.tiny()
-    plat = _campaign_platform(engine)
+    plat = _campaign_platform(DEFAULT_ENGINE)
     component = "l2c"
     nbits = T2_GEOMETRY[component].target_ffs
 
@@ -564,12 +558,12 @@ def fault_overhead_guard(
             best_model = seconds
     overhead = best_model / best_inline - 1.0
     log(
-        f"fault guard[{engine}]: inline {best_inline * 1e3:.1f}ms vs model "
+        f"fault guard: inline {best_inline * 1e3:.1f}ms vs model "
         f"{best_model * 1e3:.1f}ms over {settings.injections} runs "
         f"({overhead:+.1%})"
     )
     return {
-        "engine": engine,
+        "engine": DEFAULT_ENGINE,
         "inline_seconds": round(best_inline, 6),
         "model_seconds": round(best_model, 6),
         "runs": settings.injections,
@@ -580,7 +574,6 @@ def fault_overhead_guard(
 def obs_overhead_guard(
     settings: "BenchSettings | None" = None,
     log=lambda line: None,
-    engine: str = "event",
 ) -> dict:
     """Measure the observability layer's tax on a campaign cell.
 
@@ -591,11 +584,12 @@ def obs_overhead_guard(
     the relative overhead of the enabled path.  Both cells execute
     bit-identical simulation work (obs never consumes campaign RNG), so
     the ratio isolates instrumentation cost.  CI gates this at 10%
-    (``repro bench --obs-guard``).  The obs-*off* budget (<= 2% vs the
-    pre-obs code) is enforced separately by the committed-baseline
-    throughput gate: the disabled path's only additions are is-None
-    checks at coarse chokepoints, which the 30%-tolerance baseline
-    comparison would catch long before they cost 2%.
+    (``repro bench --obs-guard``) on the default engine.  The obs-*off*
+    budget (<= 2% vs the pre-obs code) is enforced separately by the
+    committed-baseline throughput gate: the disabled path's only
+    additions are is-None checks at coarse chokepoints, which the
+    30%-tolerance baseline comparison would catch long before they
+    cost 2%.
 
     The process-wide obs state (and ``REPRO_OBS``) is restored on exit.
     """
@@ -607,9 +601,9 @@ def obs_overhead_guard(
     prev_enabled = obs.enabled()
     try:
         obs.disable()
-        plat_off = _campaign_platform(engine)
+        plat_off = _campaign_platform(DEFAULT_ENGINE)
         obs.enable()
-        plat_on = _campaign_platform(engine)
+        plat_on = _campaign_platform(DEFAULT_ENGINE)
 
         def run_off():
             obs.disable()
@@ -647,12 +641,12 @@ def obs_overhead_guard(
             os.environ["REPRO_OBS"] = prev_env
     overhead = best_on / best_off - 1.0
     log(
-        f"obs guard[{engine}]: off {best_off * 1e3:.1f}ms vs on "
+        f"obs guard: off {best_off * 1e3:.1f}ms vs on "
         f"{best_on * 1e3:.1f}ms over {settings.injections} runs "
         f"({overhead:+.1%})"
     )
     return {
-        "engine": engine,
+        "engine": DEFAULT_ENGINE,
         "off_seconds": round(best_off, 6),
         "on_seconds": round(best_on, 6),
         "runs": settings.injections,
@@ -702,8 +696,8 @@ def check_against_baseline(
 ) -> list[str]:
     """Regression check: per-engine cycles/sec must not fall more than
     ``tolerance`` below the committed baseline.  Every engine present in
-    the baseline (event, compiled, reference) is gated, so the compiled
-    fast path cannot silently regress either.  Returns failure lines
+    the baseline (event, reference) is gated, so the differential
+    oracle cannot silently regress either.  Returns failure lines
     (empty when the check passes).  Host-noise findings (see
     :func:`host_noise_warnings`) are reported through ``warn`` without
     failing the check."""

@@ -520,38 +520,32 @@ def cmd_bench(args) -> int:
 
     settings = BenchSettings.tiny() if args.tiny else BenchSettings()
     if args.obs_guard:
-        guard = obs_overhead_guard(
-            settings, log=print, engine=args.obs_guard_engine
-        )
+        guard = obs_overhead_guard(settings, log=print)
         if guard["overhead"] > args.obs_tolerance:
             print(
-                f"obs overhead guard[{args.obs_guard_engine}]: campaign "
-                f"with REPRO_OBS=1 is {guard['overhead']:+.1%} vs obs off "
+                f"obs overhead guard: campaign with REPRO_OBS=1 is "
+                f"{guard['overhead']:+.1%} vs obs off "
                 f"(limit {args.obs_tolerance:.0%})",
                 file=sys.stderr,
             )
             return 1
         print(
-            f"obs overhead guard[{args.obs_guard_engine}]: "
-            f"{guard['overhead']:+.1%} (limit {args.obs_tolerance:.0%}): ok"
+            f"obs overhead guard: {guard['overhead']:+.1%} "
+            f"(limit {args.obs_tolerance:.0%}): ok"
         )
         return 0
     if args.fault_guard:
-        guard = fault_overhead_guard(
-            settings, log=print, engine=args.fault_guard_engine
-        )
+        guard = fault_overhead_guard(settings, log=print)
         if guard["overhead"] > args.fault_tolerance:
             print(
-                f"fault-subsystem overhead guard"
-                f"[{args.fault_guard_engine}]: default SingleBitFlip "
+                f"fault-subsystem overhead guard: default SingleBitFlip "
                 f"path is {guard['overhead']:+.1%} vs the inline path "
                 f"(limit {args.fault_tolerance:.0%})",
                 file=sys.stderr,
             )
             return 1
         print(
-            f"fault-subsystem overhead guard[{args.fault_guard_engine}]: "
-            f"{guard['overhead']:+.1%} "
+            f"fault-subsystem overhead guard: {guard['overhead']:+.1%} "
             f"(limit {args.fault_tolerance:.0%}): ok"
         )
         return 0
@@ -918,19 +912,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "against the inline run_injection path and fail "
                         "(exit 1) beyond --fault-tolerance")
     p.add_argument("--fault-tolerance", type=float, default=0.05)
-    p.add_argument("--fault-guard-engine", default="event",
-                   choices=list(ENGINES),
-                   help="cycle engine the fault-overhead guard runs on "
-                        "(CI gates event and compiled)")
     p.add_argument("--obs-guard", action="store_true",
                    help="only run the observability overhead guard: time a "
                         "campaign cell with the obs layer enabled against "
                         "the disabled path and fail (exit 1) beyond "
                         "--obs-tolerance")
     p.add_argument("--obs-tolerance", type=float, default=0.10)
-    p.add_argument("--obs-guard-engine", default="event",
-                   choices=list(ENGINES),
-                   help="cycle engine the obs-overhead guard runs on")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(

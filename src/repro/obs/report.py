@@ -10,6 +10,7 @@ serve daemon will reuse.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -19,6 +20,9 @@ from pathlib import Path
 from repro.obs.registry import REGISTRY
 
 SNAPSHOT_VERSION = 1
+
+#: per-process temp-file sequence for :func:`write_snapshot`
+_TMP_IDS = itertools.count()
 
 
 def snapshot(registry=None) -> dict:
@@ -41,11 +45,13 @@ def snapshot(registry=None) -> dict:
 
 def write_snapshot(path: "str | Path", registry=None) -> dict:
     """Atomically write a snapshot file (write-then-rename, matching the
-    result cache's crash discipline); returns the snapshot."""
+    result cache's crash discipline); returns the snapshot.  The temp
+    name is unique per process and call, so concurrent writers to one
+    path never clobber or steal each other's in-flight file."""
     doc = snapshot(registry)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_TMP_IDS)}.tmp")
     tmp.write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

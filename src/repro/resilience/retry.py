@@ -4,7 +4,7 @@ executor backend.
 Before this module, failure handling was scattered: the cluster
 coordinator had a bare ``max_retries`` counter, the process pool had
 none (a crashed pool worker aborted the whole sweep), and nothing could
-bound how long a single wedged cell was allowed to stall a shard.
+bound how long a single wedged cell could stall a shard.
 :class:`RetryPolicy` collects the three knobs every backend shares:
 
 * **attempt budget** -- how many times a cell may be dispatched before

@@ -75,7 +75,7 @@ class CcxRtl(RtlModule):
 
         self.protocol_errors = 0
         self.write_disable = False
-        #: packets that overflowed an input FIFO (dropped)
+        #: packets dropped because an input FIFO was full
         self.dropped = 0
 
     def _fresh(self) -> "CcxRtl":

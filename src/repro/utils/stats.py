@@ -78,7 +78,7 @@ class BinomialEstimate:
     """An observed outcome rate with its uncertainty.
 
     Attributes:
-        successes: number of runs that showed the outcome.
+        successes: number of runs with the outcome.
         samples: total number of injection runs.
     """
 

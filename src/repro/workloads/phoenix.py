@@ -1,7 +1,7 @@
 """Phoenix shared-memory MapReduce benchmark analogues (Table 5, bottom).
 
 All three consume large input files (99-108MB in the paper; scaled here)
-in a map phase over disjoint chunks followed by a lock/FAA reduce --
+in a map phase over disjoint chunks, then a lock/FAA reduce --
 the canonical Phoenix structure.
 """
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.cpu import Core, ThreadState, TrapKind, STORE_CREDITS
 from repro.core.isa import Instr, Op
-from repro.core.program import ProgramBuilder
+from repro.core.program import Program, ProgramBuilder
 from repro.soc.packets import CpxPacket, CpxType, PcxPacket, PcxType
 
 
@@ -120,6 +120,22 @@ class TestAluSemantics:
     def test_pc_past_end_traps(self):
         t = run_alu_program(lambda b: b.nop())
         assert t.trap is not None and t.trap.kind is TrapKind.BAD_PC
+
+    def test_wild_negative_branch_traps(self):
+        """A negative branch target traps BAD_PC at the next issue slot;
+        it must never index the handler table (Python would wrap a
+        negative pc around to the program's tail)."""
+        instrs = [Instr(Op.ADDI, rd=1, ra=1, imm=1) for _ in range(8)]
+        program = Program("wild", tuple(instrs) + (Instr(Op.JMP, imm=-2),))
+        core = Core(0, l1_words=64)
+        thread = core.add_thread(program)
+        for cycle in range(14):
+            core.step(cycle)
+        assert thread.state is ThreadState.TRAPPED
+        assert thread.trap.kind is TrapKind.BAD_PC
+        assert thread.trap.pc == -2
+        assert thread.regs[1] == 8
+        assert thread.retired == 9
 
 
 class TestMemoryInterface:

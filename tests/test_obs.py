@@ -294,6 +294,29 @@ class TestReport:
 
         assert read_snapshot(path)["metrics"]["cells"]["value"] == 1
 
+    def test_concurrent_snapshot_writers(self, tmp_path, monkeypatch):
+        """A second writer that starts while the first is renaming its
+        temp file into place must not clobber or steal it."""
+        import pathlib
+
+        path = tmp_path / "snap.json"
+        real_replace = pathlib.Path.replace
+        calls = []
+
+        def replace(self, target):
+            calls.append(self.name)
+            if len(calls) == 1:
+                obs.write_snapshot(path)
+            return real_replace(self, target)
+
+        monkeypatch.setattr(pathlib.Path, "replace", replace)
+        obs.write_snapshot(path)
+        assert len(calls) == 2 and calls[0] != calls[1]
+        from repro.obs.report import read_snapshot
+
+        assert read_snapshot(path)["snapshot_version"] == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
+
 
 class TestDigestNeutrality:
     def test_bit_identity_with_obs_and_tracer_on(self, tmp_path, obs_enabled):
